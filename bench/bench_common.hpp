@@ -239,7 +239,8 @@ class WallTimer {
 /// When `--json <path>` was given, wraps `figure` (the figure payload,
 /// typically experiments::to_json(fig)) in the common envelope —
 /// artefact name, schema version, workbench + scale knobs, root seed,
-/// resolved job count and total wall time — and writes it to the path.
+/// resolved job count, host CPU count and total wall time — and writes
+/// it to the path.
 /// Returns true if a file was written.
 inline bool write_json_report(const Cli& cli, const std::string& artefact,
                               const experiments::Workbench& bench,
@@ -261,6 +262,7 @@ inline bool write_json_report(const Cli& cli, const std::string& artefact,
   doc["seed"] = scale.seed;
   doc["jobs"] = static_cast<std::uint64_t>(
       scale.jobs == 0 ? runner::default_jobs() : scale.jobs);
+  doc["cores"] = static_cast<std::uint64_t>(runner::default_jobs());
   doc["wall_seconds"] = wall_seconds;
   doc["peak_rss_bytes"] = static_cast<std::uint64_t>(peak_rss_bytes());
   // Warm-start accounting (DESIGN.md §13): present whenever any

@@ -6,6 +6,8 @@ namespace ppo::experiments {
 
 using runner::Json;
 
+// A telemetry cell is one pool task: in the alpha sweeps (Figures 3/4/7,
+// fault tolerance) that is one simulation run, not one alpha point.
 Json to_json(const runner::SweepTelemetry& telemetry) {
   Json j = Json::object();
   j["cells"] = static_cast<std::uint64_t>(telemetry.cells);

@@ -6,7 +6,8 @@
 // envelope): series figures become {"alphas": [...], "series":
 // [{"name": ..., "values": [...]}, ...]}; histograms become sorted
 // {"value": n, "count": n} bins; telemetry always carries jobs, cells,
-// wall_seconds and per-cell seconds.
+// wall_seconds and per-cell seconds, where a cell is one pool task (one
+// simulation run in the alpha sweeps).
 #pragma once
 
 #include "experiments/adversary_study.hpp"
@@ -29,7 +30,10 @@ namespace ppo::experiments {
 /// entries carry `events_per_second`/`events_per_second_per_core`
 /// and profiled shard rows carry `busy_ratio`/`stall_ratio`; new
 /// `service_mode` artefact (live-telemetry service runs).
-inline constexpr int kFigureJsonSchemaVersion = 4;
+/// v5: the alpha sweeps' telemetry counts one cell per simulation run
+/// (it counted one per alpha point), and the figure-bench envelope
+/// records the host's logical CPU count as `cores`.
+inline constexpr int kFigureJsonSchemaVersion = 5;
 
 runner::Json to_json(const runner::SweepTelemetry& telemetry);
 runner::Json to_json(const metrics::ProtocolHealth& health);

@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "common/check.hpp"
 #include "common/stats.hpp"
 
 namespace ppo::experiments {
@@ -27,97 +26,215 @@ OverlayScenario base_scenario(const FigureScale& scale, double alpha,
   return scenario;
 }
 
-runner::SweepOptions sweep_options(const FigureScale& scale,
-                                   const char* label) {
+runner::SweepOptions sweep_options(std::size_t jobs, std::uint64_t seed,
+                                   const char* label, bool progress = false) {
   runner::SweepOptions opt;
-  opt.jobs = scale.jobs;
-  opt.root_seed = scale.seed;
-  opt.progress = scale.progress;
+  opt.jobs = jobs;
+  opt.root_seed = seed;
+  opt.progress = progress;
   opt.label = label;
   return opt;
 }
 
-/// What one alpha cell contributes to each output series, in series
-/// order. Static baselines leave `health` zero.
+runner::SweepOptions sweep_options(const FigureScale& scale,
+                                   const char* label) {
+  return sweep_options(scale.jobs, scale.seed, label, scale.progress);
+}
+
+std::string loss_label(const char* prefix, double loss) {
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%s-loss%.2f", prefix, loss);
+  return buf;
+}
+
+/// One time-series run of Figures 8/9 and its health rollup.
+struct TraceCell {
+  metrics::TimeSeries series;
+  metrics::ProtocolHealth health;
+};
+
+/// Moves a trace into its figure slot under the slot's name; returns
+/// the run's health.
+metrics::ProtocolHealth take(metrics::TimeSeries& slot, TraceCell& cell) {
+  cell.series.set_name(slot.name());
+  slot = std::move(cell.series);
+  return cell.health;
+}
+
+/// What one simulation run contributes to its series at one cell.
+/// Static baselines leave `health` zero.
 struct CellValue {
   double conn = 0.0;
   double napl = 0.0;
   metrics::ProtocolHealth health;
 };
-using CellValues = std::vector<CellValue>;
 
-/// Common shape of the Figure 3/4 and Figure 7 sweeps: one shared
-/// Erdős–Rényi reference sized from a converged f = 0.5 overlay run,
-/// then one independent simulation cell per alpha. Cells only read
-/// `er` and the (pre-built, cached) trust graphs, so they are safe to
-/// run on the pool; their seeds depend only on (scale.seed, index).
+CellValue value_of(const StaticRunResult& run) {
+  return {run.stats.frac_disconnected.mean(), run.stats.norm_apl.mean(), {}};
+}
+
+CellValue value_of(const OverlayRunResult& run) {
+  return {run.stats.frac_disconnected.mean(), run.stats.norm_apl.mean(),
+          run.health};
+}
+
+/// One output series of an alpha sweep. `run` is one simulation run:
+/// the series' value at one cell, given that cell's base scenario. The
+/// cell is the alpha-major index i = a*R + r and the scenario's seed is
+/// scale.seed ^ (cell_salt + i); with R = 1 that is the historical
+/// per-alpha seed, so every trajectory is unchanged.
+struct SeriesSpec {
+  std::string name;
+  bool overlay;  // protocol runs cost far more than static baselines
+  std::function<CellValue(OverlayScenario cell)> run;
+};
+
+/// A static baseline: graph `g` under the cell's churn, seed ^ `salt`.
+SeriesSpec static_series(std::string name, const graph::Graph& g,
+                         std::uint64_t salt) {
+  return {std::move(name), false, [&g, salt](const OverlayScenario& s) {
+            return value_of(run_static(g, s.churn, s.window, s.seed ^ salt));
+          }};
+}
+
+/// An alpha sweep's values in fixed [cell][series] slots, and the
+/// wall-clock accounting of every grid that filled them.
+struct SweepValues {
+  SweepValues(const FigureScale& scale, std::uint64_t cell_salt)
+      : cell_salt(cell_salt),
+        replicas(std::max<std::size_t>(1, scale.replicas)),
+        cells(scale.alphas.size() * replicas) {}
+
+  std::uint64_t cell_salt;
+  std::size_t replicas;
+  std::vector<std::string> names;             // series, in slot order
+  std::vector<std::vector<CellValue>> cells;  // [cell][series]
+  runner::SweepTelemetry telemetry;           // one telemetry cell per run
+};
+
+/// Appends `series` to `out` and runs each of them at every cell as its
+/// own pool task. The FIFO pool gets the tasks longest first — `lead`
+/// (when set), then the overlay runs, then the static runs, each from
+/// the highest alpha down — a greedy longest-first schedule. Seeds
+/// depend only on the cell, and each task writes only its own slot, so
+/// the order moves wall time, never a value.
+void run_series(const FigureScale& scale, const char* label,
+                const std::vector<SeriesSpec>& series, SweepValues& out,
+                const std::function<void()>& lead = {}) {
+  const std::size_t first_slot = out.names.size();
+  for (const SeriesSpec& s : series) out.names.push_back(s.name);
+  for (auto& cell : out.cells) cell.resize(out.names.size());
+
+  std::vector<std::pair<std::size_t, std::size_t>> runs;  // (cell, series)
+  for (std::size_t cell = 0; cell < out.cells.size(); ++cell)
+    for (std::size_t j = 0; j < series.size(); ++j) runs.emplace_back(cell, j);
+  const auto cost = [&](const auto& run) {  // (overlay, alpha): higher first
+    return std::pair(series[run.second].overlay,
+                     scale.alphas[run.first / out.replicas]);
+  };
+  std::ranges::stable_sort(runs, std::greater<>{}, cost);
+
+  const std::size_t leads = lead ? 1 : 0;
+  runner::SweepTelemetry grid = runner::run_indexed(
+      leads + runs.size(), sweep_options(scale, label),
+      [&](const runner::CellInfo& task) {
+        if (task.index < leads) return lead();
+        const auto [cell, j] = runs[task.index - leads];
+        out.cells[cell][first_slot + j] = series[j].run(base_scenario(
+            scale, scale.alphas[cell / out.replicas], out.cell_salt + cell));
+      });
+
+  out.telemetry.cells += grid.cells;
+  out.telemetry.jobs = grid.jobs;
+  out.telemetry.wall_seconds += grid.wall_seconds;
+  auto& seconds = out.telemetry.cell_seconds;
+  seconds.insert(seconds.end(), grid.cell_seconds.begin(),
+                 grid.cell_seconds.end());
+}
+
+/// Builds the figure from the values: per-series means and 95%
+/// confidence half-widths over each alpha's replicas, and health rolled
+/// up over every cell. Runs after the barrier, in alpha-then-replica
+/// order, so nothing depends on which worker finished first.
+template <typename Figure>
+Figure summarize(const FigureScale& scale, SweepValues&& values) {
+  constexpr bool kCompletion = requires(Figure f) { f.completion; };
+  Figure fig;
+  fig.alphas = scale.alphas;
+  fig.replicas = values.replicas;
+  fig.health.resize(values.names.size());
+  const auto add = [](std::vector<Series>& mean, std::vector<Series>& ci,
+                      const RunningStats& stats) {
+    mean.back().values.push_back(stats.mean());
+    ci.back().values.push_back(ci95_half_width(stats));
+  };
+  for (std::size_t j = 0; j < values.names.size(); ++j) {
+    const Series named{values.names[j], {}};
+    for (auto* series : {&fig.connectivity, &fig.connectivity_ci, &fig.napl,
+                         &fig.napl_ci})
+      series->push_back(named);
+    if constexpr (kCompletion) {
+      fig.completion.push_back(named);
+      fig.completion_ci.push_back(named);
+    }
+    for (std::size_t a = 0; a < scale.alphas.size(); ++a) {
+      RunningStats conn, napl, completion;
+      for (std::size_t r = 0; r < values.replicas; ++r) {
+        const CellValue& v = values.cells[a * values.replicas + r][j];
+        conn.add(v.conn);
+        napl.add(v.napl);
+        completion.add(v.health.completion_rate());
+        fig.health[j].merge(v.health);
+      }
+      add(fig.connectivity, fig.connectivity_ci, conn);
+      add(fig.napl, fig.napl_ci, napl);
+      if constexpr (kCompletion)
+        add(fig.completion, fig.completion_ci, completion);
+    }
+  }
+  fig.telemetry = std::move(values.telemetry);
+  return fig;
+}
+
+/// Common shape of the Figure 3/4 and Figure 7 sweeps: the spec's
+/// series, plus a trailing "random" series measured on ONE Erdős–Rényi
+/// reference sized from a converged overlay run at the highest alpha —
+/// the paper compares against a fixed random graph "of similar size
+/// and average fan-out", not one resized per churn level.
 struct AlphaSweepSpec {
   const char* label;
-  std::vector<const char*> series;  // output series names, in order
-  std::uint64_t sizing_salt = 0;    // seed salt of the ER sizing run
-  std::uint64_t er_seed_salt = 0;   // salt of the ER construction seed
-  std::function<CellValues(const graph::Graph& er, double alpha,
-                           std::size_t index)>
-      cell;
+  std::uint64_t cell_salt;         // see SeriesSpec
+  std::vector<SeriesSpec> series;  // every series but "random"
+  std::uint64_t random_salt;       // the random run's seed: cell seed ^ this
+  std::uint64_t sizing_salt;       // seed salt of the ER sizing run
+  std::uint64_t er_seed_salt;      // salt of the ER construction seed
 };
 
 SweepFigure run_alpha_sweep(Workbench& bench, const FigureScale& scale,
                             const AlphaSweepSpec& spec) {
-  SweepFigure fig;
-  fig.alphas = scale.alphas;
+  SweepValues values(scale, spec.cell_salt);
 
-  // ONE Erdős–Rényi reference graph, sized once from the converged
-  // overlay (highest availability in the sweep) — the paper compares
-  // against a fixed random graph "of similar size and average
-  // fan-out", not one resized per churn level.
+  // The sizing run is the longest run of the sweep, so it leads the
+  // first grid alongside every run that does not need the ER graph.
   const graph::Graph& sizing_trust = bench.trust_graph(0.5);
   const double alpha_max =
       *std::max_element(scale.alphas.begin(), scale.alphas.end());
-  OverlayScenario sizing = base_scenario(scale, alpha_max, spec.sizing_salt);
-  const auto sizing_run = run_overlay(sizing_trust, sizing);
+  double sizing_edges = 0.0;
+  run_series(scale, spec.label, spec.series, values, [&] {
+    sizing_edges =
+        run_overlay(sizing_trust,
+                    base_scenario(scale, alpha_max, spec.sizing_salt))
+            .stats.total_edges.mean();
+  });
   const graph::Graph er = er_reference(
       sizing_trust.num_nodes(),
-      static_cast<std::size_t>(
-          std::llround(sizing_run.stats.total_edges.mean())),
+      static_cast<std::size_t>(std::llround(sizing_edges)),
       scale.seed ^ spec.er_seed_salt);
 
-  // Alpha-major cell layout: cell index a*R + r. With R = 1 the index
-  // equals the historical per-alpha index, so every seed salt — and
-  // therefore every trajectory — is unchanged.
-  const std::size_t replicas = std::max<std::size_t>(1, scale.replicas);
-  fig.replicas = replicas;
-  auto grid = runner::run_grid(
-      scale.alphas.size() * replicas, sweep_options(scale, spec.label),
-      [&](const runner::CellInfo& cell) {
-        const double alpha = scale.alphas[cell.index / replicas];
-        return spec.cell(er, alpha, cell.index);
-      });
-
-  fig.health.resize(spec.series.size());
-  for (std::size_t j = 0; j < spec.series.size(); ++j) {
-    Series conn{spec.series[j], {}}, napl{spec.series[j], {}};
-    Series conn_ci{spec.series[j], {}}, napl_ci{spec.series[j], {}};
-    for (std::size_t a = 0; a < scale.alphas.size(); ++a) {
-      RunningStats sc, sn;
-      for (std::size_t r = 0; r < replicas; ++r) {
-        const CellValues& values = grid.cells[a * replicas + r];
-        PPO_CHECK(values.size() == spec.series.size());
-        sc.add(values[j].conn);
-        sn.add(values[j].napl);
-        fig.health[j].merge(values[j].health);
-      }
-      conn.values.push_back(sc.mean());
-      napl.values.push_back(sn.mean());
-      conn_ci.values.push_back(ci95_half_width(sc));
-      napl_ci.values.push_back(ci95_half_width(sn));
-    }
-    fig.connectivity.push_back(std::move(conn));
-    fig.napl.push_back(std::move(napl));
-    fig.connectivity_ci.push_back(std::move(conn_ci));
-    fig.napl_ci.push_back(std::move(napl_ci));
-  }
-  fig.telemetry = std::move(grid.telemetry);
-  return fig;
+  // The random series alone needs the ER graph: a second, short grid.
+  run_series(scale, spec.label, {static_series("random", er, spec.random_salt)},
+             values);
+  return summarize<SweepFigure>(scale, std::move(values));
 }
 
 }  // namespace
@@ -125,39 +242,24 @@ SweepFigure run_alpha_sweep(Workbench& bench, const FigureScale& scale,
 SweepFigure availability_sweep(Workbench& bench, const FigureScale& scale) {
   const graph::Graph& t10 = bench.trust_graph(1.0);
   const graph::Graph& t05 = bench.trust_graph(0.5);
-
-  AlphaSweepSpec spec;
-  spec.label = "availability-sweep";
-  spec.series = {"trust-f1.0", "trust-f0.5", "overlay-f1.0", "overlay-f0.5",
-                 "random"};
-  spec.sizing_salt = 99;
-  spec.er_seed_salt = 0xE6;
-  spec.cell = [&scale, &t10, &t05](const graph::Graph& er, double alpha,
-                                   std::size_t i) {
-    OverlayScenario scenario = base_scenario(scale, alpha, 101 + i);
-
-    const auto s_t10 =
-        run_static(t10, scenario.churn, scale.window, scenario.seed ^ 1);
-    const auto s_t05 =
-        run_static(t05, scenario.churn, scale.window, scenario.seed ^ 2);
-    const auto o_t10 = run_overlay(t10, scenario);
-    scenario.seed ^= 0x51;
-    const auto o_t05 = run_overlay(t05, scenario);
-
-    const auto s_er =
-        run_static(er, scenario.churn, scale.window, scenario.seed ^ 3);
-
-    return CellValues{
-        {s_t10.stats.frac_disconnected.mean(), s_t10.stats.norm_apl.mean(), {}},
-        {s_t05.stats.frac_disconnected.mean(), s_t05.stats.norm_apl.mean(), {}},
-        {o_t10.stats.frac_disconnected.mean(), o_t10.stats.norm_apl.mean(),
-         o_t10.health},
-        {o_t05.stats.frac_disconnected.mean(), o_t05.stats.norm_apl.mean(),
-         o_t05.health},
-        {s_er.stats.frac_disconnected.mean(), s_er.stats.norm_apl.mean(), {}},
-    };
-  };
-  return run_alpha_sweep(bench, scale, spec);
+  return run_alpha_sweep(
+      bench, scale,
+      {.label = "availability-sweep",
+       .cell_salt = 101,
+       .series = {static_series("trust-f1.0", t10, 1),
+                  static_series("trust-f0.5", t05, 2),
+                  {"overlay-f1.0", true,
+                   [&](OverlayScenario s) {
+                     return value_of(run_overlay(t10, s));
+                   }},
+                  {"overlay-f0.5", true,
+                   [&](OverlayScenario s) {
+                     s.seed ^= 0x51;
+                     return value_of(run_overlay(t05, s));
+                   }}},
+       .random_salt = 0x51 ^ 3,
+       .sizing_salt = 99,
+       .er_seed_salt = 0xE6});
 }
 
 SweepFigure lifetime_sweep(Workbench& bench, const FigureScale& scale) {
@@ -165,40 +267,23 @@ SweepFigure lifetime_sweep(Workbench& bench, const FigureScale& scale) {
   static constexpr std::pair<const char*, double> kRatios[] = {
       {"r1", 1.0}, {"r3", 3.0}, {"r9", 9.0}, {"r-infinite", -1.0}};
 
-  AlphaSweepSpec spec;
-  spec.label = "lifetime-sweep";
-  spec.series = {"trust-graph", "r1", "r3", "r9", "r-infinite", "random"};
-  spec.sizing_salt = 199;
-  spec.er_seed_salt = 0xE7;
-  spec.cell = [&scale, &trust](const graph::Graph& er, double alpha,
-                               std::size_t i) {
-    OverlayScenario scenario = base_scenario(scale, alpha, 211 + i);
-    CellValues values;
-
-    const auto s_trust =
-        run_static(trust, scenario.churn, scale.window, scenario.seed ^ 1);
-    values.push_back(CellValue{s_trust.stats.frac_disconnected.mean(),
-                               s_trust.stats.norm_apl.mean(), {}});
-
-    for (std::size_t k = 0; k < std::size(kRatios); ++k) {
-      OverlayScenario variant = scenario;
-      variant.seed ^= (k + 2) * 0x91;
-      variant.params.pseudonym_lifetime =
-          kRatios[k].second < 0
-              ? kInfiniteLifetime
-              : kRatios[k].second * variant.churn.mean_offline;
-      const auto run = run_overlay(trust, variant);
-      values.push_back(CellValue{run.stats.frac_disconnected.mean(),
-                                 run.stats.norm_apl.mean(), run.health});
-    }
-
-    const auto s_er =
-        run_static(er, scenario.churn, scale.window, scenario.seed ^ 8);
-    values.push_back(CellValue{s_er.stats.frac_disconnected.mean(),
-                               s_er.stats.norm_apl.mean(), {}});
-    return values;
-  };
-  return run_alpha_sweep(bench, scale, spec);
+  std::vector<SeriesSpec> series{static_series("trust-graph", trust, 1)};
+  for (std::size_t k = 0; k < std::size(kRatios); ++k)
+    series.push_back({kRatios[k].first, true, [&, k](OverlayScenario s) {
+                        s.seed ^= (k + 2) * 0x91;
+                        s.params.pseudonym_lifetime =
+                            kRatios[k].second < 0
+                                ? kInfiniteLifetime
+                                : kRatios[k].second * s.churn.mean_offline;
+                        return value_of(run_overlay(trust, s));
+                      }});
+  return run_alpha_sweep(bench, scale,
+                         {.label = "lifetime-sweep",
+                          .cell_salt = 211,
+                          .series = std::move(series),
+                          .random_salt = 8,
+                          .sizing_salt = 199,
+                          .er_seed_salt = 0xE7});
 }
 
 DegreeFigure degree_distributions(Workbench& bench, const FigureScale& scale,
@@ -287,15 +372,7 @@ ConvergenceFigure convergence_trace(Workbench& bench, double horizon,
 
   // Three independent runs: the static trust baseline and the overlay
   // at r = 3 and r = 9.
-  runner::SweepOptions opt;
-  opt.jobs = jobs;
-  opt.root_seed = seed;
-  opt.label = "convergence-trace";
-  struct TraceCell {
-    metrics::TimeSeries series;
-    metrics::ProtocolHealth health;
-  };
-  auto grid = runner::run_grid(3, opt, [&](const runner::CellInfo& cell) {
+  const auto run = [&](const runner::CellInfo& cell) {
     TraceCell out;
     if (cell.index == 0) {
       out.series =
@@ -315,119 +392,47 @@ ConvergenceFigure convergence_trace(Workbench& bench, double horizon,
     out.series = std::move(trace.connectivity);
     out.health = trace.health;
     return out;
-  });
+  };
+  auto grid =
+      runner::run_grid(3, sweep_options(jobs, seed, "convergence-trace"), run);
 
-  grid.cells[0].series.set_name(fig.trust.name());
-  fig.trust = std::move(grid.cells[0].series);
-  grid.cells[1].series.set_name(fig.overlay_r3.name());
-  fig.overlay_r3 = std::move(grid.cells[1].series);
-  fig.health_r3 = grid.cells[1].health;
-  grid.cells[2].series.set_name(fig.overlay_r9.name());
-  fig.overlay_r9 = std::move(grid.cells[2].series);
-  fig.health_r9 = grid.cells[2].health;
+  take(fig.trust, grid.cells[0]);
+  fig.health_r3 = take(fig.overlay_r3, grid.cells[1]);
+  fig.health_r9 = take(fig.overlay_r9, grid.cells[2]);
   fig.telemetry = std::move(grid.telemetry);
   return fig;
 }
-
-namespace {
-
-std::string loss_label(const char* prefix, double loss) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%s-loss%.2f", prefix, loss);
-  return buf;
-}
-
-}  // namespace
 
 FaultFigure fault_tolerance_sweep(Workbench& bench, const FigureScale& scale,
                                   const FaultToleranceSpec& spec) {
   const graph::Graph& trust = bench.trust_graph(0.5);
 
-  std::vector<std::string> names{"lossless"};
-  for (const double loss : spec.loss_rates) {
-    names.push_back(loss_label("retry", loss));
-    names.push_back(loss_label("no-retry", loss));
-  }
-
-  /// One series' contribution from one alpha cell.
-  struct CellEntry {
-    double conn = 0.0;
-    double napl = 0.0;
-    metrics::ProtocolHealth health;
-  };
-
-  const std::size_t replicas = std::max<std::size_t>(1, scale.replicas);
-  auto grid = runner::run_grid(
-      scale.alphas.size() * replicas,
-      sweep_options(scale, "fault-tolerance-sweep"),
-      [&](const runner::CellInfo& cell) {
-        const double alpha = scale.alphas[cell.index / replicas];
-        std::vector<CellEntry> values;
-        values.reserve(1 + 2 * spec.loss_rates.size());
-        const OverlayScenario base =
-            base_scenario(scale, alpha, 511 + cell.index);
-
-        const auto run_one = [&](const OverlayScenario& s) {
-          const auto run = run_overlay(trust, s);
-          values.push_back(CellEntry{run.stats.frac_disconnected.mean(),
-                                     run.stats.norm_apl.mean(), run.health});
-        };
-
-        run_one(base);  // lossless baseline: no plan, no timer
-        for (std::size_t k = 0; k < spec.loss_rates.size(); ++k) {
-          OverlayScenario lossy = base;
-          fault::FaultPlan plan;
-          plan.drop_probability = spec.loss_rates[k];
-          plan.seed = base.seed ^ (0xFA0000 + k);
-          plan.per_link_streams = base.shards > 0;
-          lossy.faults = plan;
-          lossy.params.shuffle_timeout = spec.shuffle_timeout;
-          lossy.params.shuffle_retry_backoff = spec.retry_backoff;
-
-          lossy.params.shuffle_max_retries = spec.max_retries;
-          run_one(lossy);
-
-          // Same loss pattern, retries off: the degradation the
-          // hardening buys back.
-          lossy.params.shuffle_max_retries = 0;
-          run_one(lossy);
-        }
-        return values;
-      });
-
-  FaultFigure fig;
-  fig.alphas = scale.alphas;
-  fig.replicas = replicas;
-  fig.health.resize(names.size());
-  for (std::size_t j = 0; j < names.size(); ++j) {
-    Series conn{names[j], {}}, napl{names[j], {}}, comp{names[j], {}};
-    Series conn_ci{names[j], {}}, napl_ci{names[j], {}}, comp_ci{names[j], {}};
-    for (std::size_t a = 0; a < scale.alphas.size(); ++a) {
-      RunningStats sc, sn, sp;
-      for (std::size_t r = 0; r < replicas; ++r) {
-        const auto& values = grid.cells[a * replicas + r];
-        PPO_CHECK(values.size() == names.size());
-        sc.add(values[j].conn);
-        sn.add(values[j].napl);
-        sp.add(values[j].health.completion_rate());
-        fig.health[j].merge(values[j].health);
-      }
-      conn.values.push_back(sc.mean());
-      napl.values.push_back(sn.mean());
-      comp.values.push_back(sp.mean());
-      conn_ci.values.push_back(ci95_half_width(sc));
-      napl_ci.values.push_back(ci95_half_width(sn));
-      comp_ci.values.push_back(ci95_half_width(sp));
+  std::vector<SeriesSpec> series{
+      {"lossless", true, [&](const OverlayScenario& s) {
+         return value_of(run_overlay(trust, s));  // no plan, no timer
+       }}};
+  for (std::size_t k = 0; k < spec.loss_rates.size(); ++k) {
+    // Each loss rate runs with retries and then, on the same loss
+    // pattern, without: the degradation the hardening buys back.
+    for (const bool retry : {true, false}) {
+      series.push_back(
+          {loss_label(retry ? "retry" : "no-retry", spec.loss_rates[k]), true,
+           [&, k, retry](OverlayScenario lossy) {
+             fault::FaultPlan plan;
+             plan.drop_probability = spec.loss_rates[k];
+             plan.seed = lossy.seed ^ (0xFA0000 + k);
+             plan.per_link_streams = lossy.shards > 0;
+             lossy.faults = plan;
+             lossy.params.shuffle_timeout = spec.shuffle_timeout;
+             lossy.params.shuffle_retry_backoff = spec.retry_backoff;
+             lossy.params.shuffle_max_retries = retry ? spec.max_retries : 0;
+             return value_of(run_overlay(trust, lossy));
+           }});
     }
-    fig.connectivity.push_back(std::move(conn));
-    fig.napl.push_back(std::move(napl));
-    fig.completion.push_back(std::move(comp));
-    fig.connectivity_ci.push_back(std::move(conn_ci));
-    fig.napl_ci.push_back(std::move(napl_ci));
-    fig.completion_ci.push_back(std::move(comp_ci));
   }
-  fig.telemetry = std::move(grid.telemetry);
-  return fig;
+  SweepValues values(scale, 511);
+  run_series(scale, "fault-tolerance-sweep", series, values);
+  return summarize<FaultFigure>(scale, std::move(values));
 }
 
 ReplacementFigure replacement_trace(Workbench& bench, double horizon,
@@ -437,16 +442,9 @@ ReplacementFigure replacement_trace(Workbench& bench, double horizon,
   ReplacementFigure fig;
   static constexpr double kRatios[] = {3.0, 9.0, -1.0};
 
-  runner::SweepOptions opt;
-  opt.jobs = jobs;
-  opt.root_seed = seed;
-  opt.label = "replacement-trace";
-  struct TraceCell {
-    metrics::TimeSeries series;
-    metrics::ProtocolHealth health;
-  };
   auto grid = runner::run_grid(
-      std::size(kRatios), opt, [&](const runner::CellInfo& cell) {
+      std::size(kRatios), sweep_options(jobs, seed, "replacement-trace"),
+      [&](const runner::CellInfo& cell) {
         const double ratio = kRatios[cell.index];
         OverlayScenario scenario;
         scenario.churn.alpha = 0.25;
@@ -463,15 +461,9 @@ ReplacementFigure replacement_trace(Workbench& bench, double horizon,
         return TraceCell{std::move(trace.replacements), trace.health};
       });
 
-  grid.cells[0].series.set_name(fig.r3.name());
-  fig.r3 = std::move(grid.cells[0].series);
-  fig.health_r3 = grid.cells[0].health;
-  grid.cells[1].series.set_name(fig.r9.name());
-  fig.r9 = std::move(grid.cells[1].series);
-  fig.health_r9 = grid.cells[1].health;
-  grid.cells[2].series.set_name(fig.r_infinite.name());
-  fig.r_infinite = std::move(grid.cells[2].series);
-  fig.health_r_infinite = grid.cells[2].health;
+  fig.health_r3 = take(fig.r3, grid.cells[0]);
+  fig.health_r9 = take(fig.r9, grid.cells[1]);
+  fig.health_r_infinite = take(fig.r_infinite, grid.cells[2]);
   fig.telemetry = std::move(grid.telemetry);
   return fig;
 }

@@ -110,6 +110,30 @@ TEST(CheckpointIo, Crc32KnownVector) {
   EXPECT_EQ(ckpt::crc32("", 0), 0x00000000u);
 }
 
+TEST(CheckpointIo, Crc32MatchesBitwiseReferenceAtEveryAlignment) {
+  // Bit-at-a-time CRC-32 straight from the polynomial: the sliced
+  // implementation must agree on every length, start offset and split.
+  const auto reference = [](const unsigned char* p, std::size_t n) {
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::vector<unsigned char> bytes(80);
+  for (std::size_t i = 0; i < bytes.size(); ++i)
+    bytes[i] = static_cast<unsigned char>(i * 151 + 7);
+  for (std::size_t start = 0; start < 8; ++start)
+    for (std::size_t n = 0; start + n <= bytes.size(); ++n) {
+      const unsigned char* p = bytes.data() + start;
+      const std::uint32_t want = reference(p, n);
+      ASSERT_EQ(ckpt::crc32(p, n), want) << "start " << start << " n " << n;
+      const std::size_t split = n / 3;
+      EXPECT_EQ(ckpt::crc32(p + split, n - split, ckpt::crc32(p, split)), want);
+    }
+}
+
 // ---------------------------------------------------------------------
 // CheckpointFile
 // ---------------------------------------------------------------------
