@@ -66,6 +66,19 @@ void BM_GraphBfs(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphBfs);
 
+// Average path length on a 1000-node graph from 48 sampled sources
+// (the default MeasureWindow::apl_sources), and from every node — the
+// exact path the sweeps' components below 2048 nodes take.
+void BM_AveragePathLength(benchmark::State& state) {
+  Rng rng(4);
+  const graph::Graph g = graph::erdos_renyi_gnm(1000, 25'000, rng);
+  const auto sources = static_cast<std::size_t>(state.range(0));
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        graph::average_path_length(g, rng, {}, sources, 0));
+}
+BENCHMARK(BM_AveragePathLength)->Arg(48)->Arg(1000);
+
 void BM_ConnectedComponents(benchmark::State& state) {
   Rng rng(5);
   const graph::Graph g = graph::erdos_renyi_gnm(1000, 25'000, rng);

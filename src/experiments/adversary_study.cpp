@@ -98,38 +98,50 @@ AdversaryFigure adversary_resilience_sweep(Workbench& bench,
   opt.label = "adversary-resilience-sweep";
 
   const std::size_t replicas = std::max<std::size_t>(1, scale.replicas);
-  auto grid = runner::run_grid(
-      spec.fractions.size() * replicas, opt,
-      [&](const runner::CellInfo& cell) {
-        const double fraction = spec.fractions[cell.index / replicas];
-        std::vector<CellEntry> values;
-        values.reserve(names.size());
-        const OverlayScenario base =
-            study_scenario(scale, spec.alpha, 911 + cell.index);
+  const std::size_t cells = spec.fractions.size() * replicas;
 
-        for (std::size_t k = 0; k < spec.attacks.size(); ++k) {
-          OverlayScenario attacked = base;
-          attacked.adversary = make_attack_plan(
-              spec.attacks[k], fraction, base.seed ^ (0xAD0000 + k));
-          attacked.params.shuffle_timeout = spec.shuffle_timeout;
-          attacked.params.shuffle_max_retries = spec.max_retries;
+  // Zero-adversary cross-check: a plan with every fraction at zero must
+  // leave the trajectory bit-identical to a run with no plan at all.
+  const OverlayScenario plain = study_scenario(scale, spec.alpha, 911);
+  OverlayScenario wrapped = plain;
+  wrapped.adversary =
+      make_attack_plan(spec.attacks.empty() ? "mixed" : spec.attacks[0], 0.0,
+                       plain.seed ^ 0xAD0000);
 
-          // Completion is measured over the HONEST nodes' exchanges:
-          // the global rate also counts the attackers' own exchanges,
-          // which the defenses deliberately starve.
-          const auto open = run_overlay(trust, attacked);
-          values.push_back(CellEntry{open.stats.frac_disconnected.mean(),
-                                     open.health.honest_completion_rate(),
-                                     open.health});
-
-          arm_defenses(attacked, spec);
-          const auto defended = run_overlay(trust, attacked);
-          values.push_back(
-              CellEntry{defended.stats.frac_disconnected.mean(),
-                        defended.health.honest_completion_rate(),
-                        defended.health});
+  // Every overlay run is its own pool task writing only its own slot:
+  // run i = cell * names + j is series j (attack j/2, open or defended
+  // arm) at cell i/names; the two cross-check runs follow the grid.
+  // Seeds depend only on the cell, so the order moves wall time, never
+  // a value.
+  const std::size_t grid_runs = cells * names.size();
+  std::vector<CellEntry> values(grid_runs);
+  std::vector<OverlayRunResult> zero_check(2);  // bare, with plan
+  const runner::SweepTelemetry telemetry = runner::run_indexed(
+      grid_runs + zero_check.size(), opt, [&](const runner::CellInfo& task) {
+        if (task.index >= grid_runs) {
+          const std::size_t k = task.index - grid_runs;
+          zero_check[k] = run_overlay(trust, k == 0 ? plain : wrapped);
+          return;
         }
-        return values;
+        const std::size_t cell = task.index / names.size();
+        const std::size_t j = task.index % names.size();
+        const std::size_t k = j / 2;
+        const double fraction = spec.fractions[cell / replicas];
+        OverlayScenario attacked =
+            study_scenario(scale, spec.alpha, 911 + cell);
+        attacked.adversary = make_attack_plan(spec.attacks[k], fraction,
+                                              attacked.seed ^ (0xAD0000 + k));
+        attacked.params.shuffle_timeout = spec.shuffle_timeout;
+        attacked.params.shuffle_max_retries = spec.max_retries;
+        if (j % 2 == 1) arm_defenses(attacked, spec);
+
+        // Completion is measured over the HONEST nodes' exchanges: the
+        // global rate also counts the attackers' own exchanges, which
+        // the defenses deliberately starve.
+        const auto run = run_overlay(trust, attacked);
+        values[task.index] = CellEntry{run.stats.frac_disconnected.mean(),
+                                       run.health.honest_completion_rate(),
+                                       run.health};
       });
 
   AdversaryFigure fig;
@@ -142,11 +154,10 @@ AdversaryFigure adversary_resilience_sweep(Workbench& bench,
     for (std::size_t a = 0; a < spec.fractions.size(); ++a) {
       RunningStats sc, sp;
       for (std::size_t r = 0; r < replicas; ++r) {
-        const auto& values = grid.cells[a * replicas + r];
-        PPO_CHECK(values.size() == names.size());
-        sc.add(values[j].conn);
-        sp.add(values[j].completion);
-        if (spec.fractions[a] > 0.0) fig.health[j].merge(values[j].health);
+        const CellEntry& value = values[(a * replicas + r) * names.size() + j];
+        sc.add(value.conn);
+        sp.add(value.completion);
+        if (spec.fractions[a] > 0.0) fig.health[j].merge(value.health);
       }
       conn.values.push_back(sc.mean());
       comp.values.push_back(sp.mean());
@@ -159,19 +170,8 @@ AdversaryFigure adversary_resilience_sweep(Workbench& bench,
     fig.completion_ci.push_back(std::move(comp_ci));
   }
 
-  // Zero-adversary cross-check: a plan with every fraction at zero must
-  // leave the trajectory bit-identical to a run with no plan at all.
-  {
-    const OverlayScenario plain = study_scenario(scale, spec.alpha, 911);
-    OverlayScenario wrapped = plain;
-    wrapped.adversary =
-        make_attack_plan(spec.attacks.empty() ? "mixed" : spec.attacks[0],
-                         0.0, plain.seed ^ 0xAD0000);
-    fig.zero_adversary_identical =
-        runs_identical(run_overlay(trust, plain), run_overlay(trust, wrapped));
-  }
-
-  fig.telemetry = std::move(grid.telemetry);
+  fig.zero_adversary_identical = runs_identical(zero_check[0], zero_check[1]);
+  fig.telemetry = telemetry;
   return fig;
 }
 

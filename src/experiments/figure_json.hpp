@@ -7,7 +7,7 @@
 // [{"name": ..., "values": [...]}, ...]}; histograms become sorted
 // {"value": n, "count": n} bins; telemetry always carries jobs, cells,
 // wall_seconds and per-cell seconds, where a cell is one pool task (one
-// simulation run in the alpha sweeps).
+// simulation run in the alpha, adversary and link-privacy sweeps).
 #pragma once
 
 #include "experiments/adversary_study.hpp"
@@ -32,7 +32,9 @@ namespace ppo::experiments {
 /// `service_mode` artefact (live-telemetry service runs).
 /// v5: the alpha sweeps' telemetry counts one cell per simulation run
 /// (it counted one per alpha point), and the figure-bench envelope
-/// records the host's logical CPU count as `cores`.
+/// records the host's logical CPU count as `cores`. The adversary and
+/// link-privacy sweeps' telemetry counts runs as well (cross-check
+/// runs included); their figure fields are unchanged.
 inline constexpr int kFigureJsonSchemaVersion = 5;
 
 runner::Json to_json(const runner::SweepTelemetry& telemetry);

@@ -102,32 +102,64 @@ LinkPrivacyFigure link_privacy_sweep(Workbench& bench,
   opt.label = "link-privacy-sweep";
 
   const std::size_t points = spec.lifetimes.size() * spec.coverages.size();
-  auto grid = runner::run_grid(
-      points * replicas, opt, [&](const runner::CellInfo& cell) {
-        const std::size_t point = cell.index / replicas;
-        const double lifetime = spec.lifetimes[point / spec.coverages.size()];
-        const double coverage = spec.coverages[point % spec.coverages.size()];
+  const std::size_t cells = points * replicas;
 
-        OverlayScenario scenario =
-            privacy_scenario(scale, spec, lifetime, 1337 + cell.index);
-        ObserverPlan plan;
-        plan.coverage = coverage;
-        plan.seed = scenario.seed ^ 0x0B5E0000;
-        scenario.observer = plan;
+  // The observed scenario of grid cell i at one lifetime and coverage.
+  const auto observed = [&](double lifetime, double coverage,
+                            std::size_t cell) {
+    OverlayScenario scenario =
+        privacy_scenario(scale, spec, lifetime, 1337 + cell);
+    ObserverPlan plan;
+    plan.coverage = coverage;
+    plan.seed = scenario.seed ^ 0x0B5E0000;
+    scenario.observer = plan;
+    return scenario;
+  };
 
-        std::vector<ArmResult> out;
-        out.reserve(arms);
-        const auto open = run_overlay(trust, scenario);
-        out.push_back(
-            evaluate_log(open.observations, trust, spec.attack_options));
-        if (spec.defended_arm) {
-          OverlayScenario defended = scenario;
-          arm_defenses(defended, spec);
-          const auto run = run_overlay(trust, defended);
-          out.push_back(
-              evaluate_log(run.observations, trust, spec.attack_options));
+  // Zero-coverage cross-check: a zero-coverage plan skips observer
+  // construction, so the run must be bit-identical to a plan-free run
+  // and record nothing.
+  const OverlayScenario plain =
+      privacy_scenario(scale, spec, spec.lifetimes.front(), 1337);
+  OverlayScenario wrapped = plain;
+  wrapped.observer = ObserverPlan{};  // coverage 0 -> enabled() false
+
+  // Every overlay run is its own pool task, writing only its own slot:
+  // the K-invariance runs first (each at the densest cell: longest
+  // lifetime, highest coverage), then every (cell, arm) of the grid,
+  // then the two cross-check runs. Seeds depend only on the run, so
+  // the order moves wall time, never a value.
+  const std::size_t kruns = spec.kinvariance_shards.size();
+  const std::size_t grid_runs = cells * arms;
+  std::vector<ArmResult> kinvariance(kruns);
+  std::vector<ArmResult> results(grid_runs);  // [cell * arms + arm]
+  std::vector<OverlayRunResult> zero_check(2);  // bare, with plan
+  const runner::SweepTelemetry telemetry = runner::run_indexed(
+      kruns + grid_runs + zero_check.size(), opt,
+      [&](const runner::CellInfo& task) {
+        if (task.index < kruns) {
+          OverlayScenario scenario =
+              observed(spec.lifetimes.back(), spec.coverages.back(), cells);
+          scenario.shards = spec.kinvariance_shards[task.index];
+          kinvariance[task.index] =
+              evaluate_log(run_overlay(trust, scenario).observations, trust,
+                           spec.attack_options);
+          return;
         }
-        return out;
+        const std::size_t run = task.index - kruns;
+        if (run >= grid_runs) {
+          const std::size_t k = run - grid_runs;
+          zero_check[k] = run_overlay(trust, k == 0 ? plain : wrapped);
+          return;
+        }
+        const std::size_t cell = run / arms;
+        const std::size_t point = cell / replicas;
+        OverlayScenario scenario =
+            observed(spec.lifetimes[point / spec.coverages.size()],
+                     spec.coverages[point % spec.coverages.size()], cell);
+        if (run % arms == 1) arm_defenses(scenario, spec);
+        results[run] = evaluate_log(run_overlay(trust, scenario).observations,
+                                    trust, spec.attack_options);
       });
 
   for (std::size_t point = 0; point < points; ++point) {
@@ -137,9 +169,8 @@ LinkPrivacyFigure link_privacy_sweep(Workbench& bench,
       for (std::size_t k = 0; k < fig.attacks.size(); ++k) {
         RunningStats precision, recall, auc, observations, entities;
         for (std::size_t r = 0; r < replicas; ++r) {
-          const auto& values = grid.cells[point * replicas + r];
-          PPO_CHECK(values.size() == arms);
-          const ArmResult& result = values[arm];
+          const ArmResult& result =
+              results[(point * replicas + r) * arms + arm];
           PPO_CHECK(result.per_attack.size() == fig.attacks.size());
           precision.add(result.per_attack[k].precision);
           recall.add(result.per_attack[k].recall);
@@ -165,40 +196,20 @@ LinkPrivacyFigure link_privacy_sweep(Workbench& bench,
     }
   }
 
-  // Zero-coverage cross-check: a zero-coverage plan skips observer
-  // construction, so the run must be bit-identical to a plan-free run
-  // and record nothing.
-  {
-    const OverlayScenario plain =
-        privacy_scenario(scale, spec, spec.lifetimes.front(), 1337);
-    OverlayScenario wrapped = plain;
-    wrapped.observer = ObserverPlan{};  // coverage 0 -> enabled() false
-    const auto bare = run_overlay(trust, plain);
-    const auto with_plan = run_overlay(trust, wrapped);
-    fig.zero_observer_identical = runs_identical(bare, with_plan) &&
-                                  with_plan.observations.empty();
-  }
+  fig.zero_observer_identical =
+      runs_identical(zero_check[0], zero_check[1]) &&
+      zero_check[1].observations.empty();
 
   // Inference K-invariance: at a representative cell (longest
   // lifetime, highest coverage — the densest log), the merged
   // observation log and every attack's ranked output must fingerprint
   // identically for every sharded backend K.
-  if (!spec.kinvariance_shards.empty()) {
-    OverlayScenario scenario = privacy_scenario(
-        scale, spec, spec.lifetimes.back(), 1337 + points * replicas);
-    ObserverPlan plan;
-    plan.coverage = spec.coverages.back();
-    plan.seed = scenario.seed ^ 0x0B5E0000;
-    scenario.observer = plan;
-    for (const std::size_t shards : spec.kinvariance_shards) {
-      scenario.shards = shards;
-      const auto run = run_overlay(trust, scenario);
-      const ArmResult result =
-          evaluate_log(run.observations, trust, spec.attack_options);
+  if (kruns > 0) {
+    for (std::size_t k = 0; k < kruns; ++k) {
       ShardFingerprint fp;
-      fp.shards = shards;
-      fp.log = result.log_fingerprint;
-      fp.attacks = result.fingerprints;
+      fp.shards = spec.kinvariance_shards[k];
+      fp.log = kinvariance[k].log_fingerprint;
+      fp.attacks = std::move(kinvariance[k].fingerprints);
       fig.shard_fingerprints.push_back(std::move(fp));
     }
     fig.kinvariant = std::all_of(
@@ -209,7 +220,7 @@ LinkPrivacyFigure link_privacy_sweep(Workbench& bench,
         });
   }
 
-  fig.telemetry = std::move(grid.telemetry);
+  fig.telemetry = telemetry;
   return fig;
 }
 

@@ -1,7 +1,9 @@
 #include "graph/paths.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
+#include <utility>
 
 #include "common/check.hpp"
 #include "graph/components.hpp"
@@ -44,22 +46,56 @@ std::vector<NodeId> largest_component_nodes(GraphView g,
   return nodes;
 }
 
-/// Mean BFS distance from `sources` to all other nodes of the same
-/// component. `component` must contain every source.
+/// Mean BFS distance from `sources` to every other node they reach
+/// within `mask`. Up to 64 sources advance level by level in one
+/// traversal, one bit per source: a node's `seen` word holds the
+/// sources that reached it, and each frontier entry carries the bits
+/// that reached its node at the current level. One level visits each
+/// frontier node's edges once for the whole batch, where per-source
+/// BFS visited them once per source. Every distance is a whole number,
+/// so `level x (sources newly reaching a node)` sums exactly in the
+/// double and the result equals the per-source BFS mean bit for bit.
 double mean_distance_from_sources(GraphView g, const NodeMask& mask,
-                                  const std::vector<NodeId>& sources,
-                                  std::size_t component_size) {
+                                  const std::vector<NodeId>& sources) {
+  constexpr std::size_t kBatch = 64;
+  const std::size_t n = g.num_nodes();
+  std::vector<std::uint64_t> seen(n), next(n);  // reused across batches
+  std::vector<std::pair<NodeId, std::uint64_t>> frontier, reached;
   double total = 0.0;
   std::size_t pairs = 0;
-  for (NodeId s : sources) {
-    const auto dist = bfs_distances(g, s, mask);
-    for (NodeId v = 0; v < g.num_nodes(); ++v) {
-      if (v == s || dist[v] == kUnreachable) continue;
-      total += dist[v];
-      ++pairs;
+  for (std::size_t first = 0; first < sources.size(); first += kBatch) {
+    const std::size_t batch = std::min(kBatch, sources.size() - first);
+    std::fill(seen.begin(), seen.end(), 0);
+    frontier.clear();
+    for (std::size_t b = 0; b < batch; ++b) {
+      const NodeId s = sources[first + b];
+      if (seen[s] == 0) frontier.emplace_back(s, 0);
+      seen[s] |= std::uint64_t{1} << b;
+    }
+    for (auto& [u, bits] : frontier) bits = seen[u];
+
+    for (std::uint64_t level = 1; !frontier.empty(); ++level) {
+      reached.clear();
+      for (const auto& [u, bits] : frontier) {
+        for (NodeId v : g.neighbors(u)) {
+          if (!mask.contains(v)) continue;
+          const std::uint64_t fresh = bits & ~seen[v];
+          if (fresh == 0) continue;
+          if (next[v] == 0) reached.emplace_back(v, 0);
+          next[v] |= fresh;
+        }
+      }
+      for (auto& [v, bits] : reached) {
+        bits = next[v];
+        next[v] = 0;
+        seen[v] |= bits;
+        const auto count = static_cast<std::uint64_t>(std::popcount(bits));
+        total += static_cast<double>(level * count);
+        pairs += count;
+      }
+      frontier.swap(reached);
     }
   }
-  (void)component_size;
   return pairs == 0 ? 0.0 : total / static_cast<double>(pairs);
 }
 
@@ -82,7 +118,7 @@ double average_path_length(GraphView g, Rng& rng, const NodeMask& mask,
   } else {
     sources = rng.sample(nodes, sample_sources);
   }
-  return mean_distance_from_sources(g, comp_mask, sources, nodes.size());
+  return mean_distance_from_sources(g, comp_mask, sources);
 }
 
 double normalized_average_path_length(GraphView g, Rng& rng,

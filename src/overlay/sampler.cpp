@@ -105,8 +105,18 @@ void SlotSampler::place(std::size_t i, const PseudonymRecord& record,
 
 void SlotSampler::offer(const PseudonymRecord& record, sim::Time now) {
   if (!record.valid_at(now)) return;
-  for (std::size_t i = 0; i < references_.size(); ++i)
+  const PseudonymValue value = record.value;
+  for (std::size_t i = 0; i < references_.size(); ++i) {
+    // A live, unexpired slot holding another value that is strictly
+    // closer than the offer is the common case, and one place() leaves
+    // untouched (no write, no counter, no epoch bump): skip it. Every
+    // other slot takes the full rule.
+    if (live_[i] != 0 &&
+        pseudonym_distance(value, references_[i]) > distances_[i] &&
+        now < expiries_[i] && values_[i] != value)
+      continue;
     place(i, record, now, /*check_closeness=*/true);
+  }
 }
 
 void SlotSampler::offer_naive(const PseudonymRecord& record, sim::Time now,

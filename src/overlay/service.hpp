@@ -31,21 +31,21 @@
 namespace ppo::overlay {
 
 struct OverlayServiceOptions {
-  OverlayParams params;
-  privacylink::TransportOptions transport;
+  OverlayParams params{};
+  privacylink::TransportOptions transport{};
 
   /// Full-stack mode: protocol messages ride real onion circuits
   /// through a MixNetwork instead of the ideal transport. Expensive;
   /// for small-scale validation and demos (see DESIGN.md).
   bool use_mix_network = false;
-  privacylink::MixOptions mix;
-  privacylink::MixTransportOptions mix_transport;
+  privacylink::MixOptions mix{};
+  privacylink::MixTransportOptions mix_transport{};
 
   /// Fault-injection extension: when set and enabled(), the transport
   /// is wrapped in a FaultyTransport applying this plan. An absent or
   /// inert plan leaves the simulation bit-identical to an unwrapped
   /// run (the fault stream has its own seed).
-  std::optional<fault::FaultPlan> link_faults;
+  std::optional<fault::FaultPlan> link_faults{};
 
   /// Byzantine-adversary extension (§III-E): when set and enabled(),
   /// an AdversaryEngine intercepts the shuffle send seams and drives
@@ -53,7 +53,7 @@ struct OverlayServiceOptions {
   /// engine construction entirely, so the run stays bit-identical to
   /// the unwrapped baseline (the engine draws only from plan-derived
   /// streams, never from the service RNG).
-  std::optional<adversary::AdversaryPlan> adversary;
+  std::optional<adversary::AdversaryPlan> adversary{};
 
   /// Link-privacy measurement extension (§III): when set and
   /// enabled(), a passive ObserverAdversary records the shuffle
@@ -61,7 +61,7 @@ struct OverlayServiceOptions {
   /// same send seams — it never perturbs the trajectory — and a
   /// zero-coverage plan skips construction entirely, keeping the run
   /// bit-identical to one with no plan at all.
-  std::optional<inference::ObserverPlan> observer;
+  std::optional<inference::ObserverPlan> observer{};
 };
 
 class OverlayService final : public NodeEnvironment {

@@ -11,8 +11,4 @@ PseudonymValue random_pseudonym_value(Rng& rng, unsigned bits) {
   return raw >> (64 - bits);
 }
 
-std::uint64_t pseudonym_distance(PseudonymValue a, PseudonymValue b) {
-  return a > b ? a - b : b - a;
-}
-
 }  // namespace ppo::privacylink

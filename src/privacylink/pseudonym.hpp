@@ -38,6 +38,8 @@ struct PseudonymRecord {
 PseudonymValue random_pseudonym_value(Rng& rng, unsigned bits);
 
 /// |a - b| on the value line — the sampler's closeness measure.
-std::uint64_t pseudonym_distance(PseudonymValue a, PseudonymValue b);
+inline std::uint64_t pseudonym_distance(PseudonymValue a, PseudonymValue b) {
+  return a > b ? a - b : b - a;
+}
 
 }  // namespace ppo::privacylink

@@ -20,10 +20,15 @@ struct Tick {
   std::shared_ptr<PeriodicTask::State> state;
   EventFn fn;
 
+  // Runs once per tick (the engine drops the event after it fires),
+  // so the callback and the liveness handle move on into the next
+  // tick instead of being copied.
   void operator()() {
     if (!state->active) return;
     fn();
-    if (state->active) schedule_tick(*sim, period, period, actor, state, fn);
+    if (state->active)
+      schedule_tick(*sim, period, period, actor, std::move(state),
+                    std::move(fn));
   }
 };
 

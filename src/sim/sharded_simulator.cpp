@@ -81,11 +81,10 @@ void ShardedSimulator::schedule_at_for(ActorId actor, Time t, EventFn fn) {
   ExecContext* ctx = tls_ctx;
   if (ctx != nullptr && ctx->sim == this) {
     PPO_CHECK_MSG(t >= ctx->now, "cannot schedule into the past");
-    Entry entry{t, ctx->actor, actor_seq_[ctx->actor]++, actor,
-                std::move(fn)};
-    ctx->last_ticket = EventTicket{entry.origin, entry.seq};
+    const std::uint64_t seq = actor_seq_[ctx->actor]++;
+    ctx->last_ticket = EventTicket{ctx->actor, seq};
     if (dst == ctx->shard) {
-      queues_[dst].push(std::move(entry));
+      queues_[dst].push(t, ctx->actor, seq, actor, std::move(fn));
     } else {
       // The lookahead guarantee: cross-shard events always land at or
       // beyond the current window's end, so delivering them at the
@@ -94,14 +93,15 @@ void ShardedSimulator::schedule_at_for(ActorId actor, Time t, EventFn fn) {
                     "cross-shard event inside the current window violates "
                     "the lookahead contract (latency < lookahead?)");
       ++stats_[ctx->shard].mailbox_out;
-      mailboxes_[ctx->shard][dst].push_back(std::move(entry));
+      mailboxes_[ctx->shard][dst].push_back(
+          Entry{t, ctx->actor, seq, actor, std::move(fn)});
     }
   } else {
     PPO_CHECK_MSG(!in_window_, "external scheduling during a window");
     PPO_CHECK_MSG(t >= now_, "cannot schedule into the past");
     external_last_ticket_ = EventTicket{kExternalActor, external_seq_};
-    queues_[dst].push(
-        Entry{t, kExternalActor, external_seq_++, actor, std::move(fn)});
+    queues_[dst].push(t, kExternalActor, external_seq_++, actor,
+                      std::move(fn));
   }
 }
 
@@ -136,7 +136,7 @@ void ShardedSimulator::restore_event(Time t, ActorId origin,
                 "restored events cannot lie before the checkpoint");
   PPO_CHECK_MSG(target < options_.num_actors, "actor out of range");
   PPO_CHECK_MSG(static_cast<bool>(fn), "event callback must be callable");
-  queues_[shard_of(target)].push(Entry{t, origin, seq, target, std::move(fn)});
+  queues_[shard_of(target)].push(t, origin, seq, target, std::move(fn));
 }
 
 void ShardedSimulator::run_shard_window(std::size_t shard, Time window_end) {
@@ -149,19 +149,16 @@ void ShardedSimulator::run_shard_window(std::size_t shard, Time window_end) {
   tls_ctx = &ctx;
   obs::set_trace_shard(static_cast<std::uint32_t>(shard));
   ShardStats& stats = stats_[shard];
-  Queue& queue = queues_[shard];
+  EventQueue& queue = queues_[shard];
   stats.max_queue = std::max(stats.max_queue, queue.size());
   std::uint64_t executed = 0;
   while (!queue.empty() && queue.top().time < window_end) {
-    // Move the entry out before popping so the callback may push more
-    // events into this queue.
-    Entry entry = std::move(const_cast<Entry&>(queue.top()));
-    queue.pop();
-    ctx.actor = entry.target;
-    ctx.now = entry.time;
-    set_sim_time_context(entry.time);
+    EventQueue::Event event = queue.pop();
+    ctx.actor = event.target;
+    ctx.now = event.time;
+    set_sim_time_context(event.time);
     ++executed;
-    entry.fn();
+    event.fn();
   }
   if (executed > 0 && obs::trace_enabled(obs::TraceCategory::kShard)) {
     set_sim_time_context(window_end);
@@ -186,7 +183,9 @@ void ShardedSimulator::drain_mailboxes() {
   for (auto& row : mailboxes_) {
     for (std::size_t dst = 0; dst < row.size(); ++dst) {
       drained += row[dst].size();
-      for (Entry& entry : row[dst]) queues_[dst].push(std::move(entry));
+      for (Entry& entry : row[dst])
+        queues_[dst].push(entry.time, entry.origin, entry.seq, entry.target,
+                          std::move(entry.fn));
       row[dst].clear();
     }
   }
@@ -257,7 +256,7 @@ std::uint64_t ShardedSimulator::events_executed() const {
 
 std::size_t ShardedSimulator::pending() const {
   std::size_t total = 0;
-  for (const Queue& q : queues_) total += q.size();
+  for (const EventQueue& q : queues_) total += q.size();
   for (const auto& row : mailboxes_)
     for (const auto& box : row) total += box.size();
   return total;

@@ -38,11 +38,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "common/check.hpp"
 #include "sim/backend.hpp"
+#include "sim/event_queue.hpp"
 
 namespace ppo::runner {
 class ThreadPool;
@@ -152,6 +152,7 @@ class ShardedSimulator final : public SimulatorBackend {
                      ActorId target, EventFn fn);
 
  private:
+  /// A cross-shard event in transit to its shard's queue.
   struct Entry {
     Time time = 0.0;
     /// Scheduling actor and its per-origin sequence number:
@@ -163,14 +164,6 @@ class ShardedSimulator final : public SimulatorBackend {
     ActorId target = kExternalActor;
     EventFn fn;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      if (a.origin != b.origin) return a.origin > b.origin;
-      return a.seq > b.seq;
-    }
-  };
-  using Queue = std::priority_queue<Entry, std::vector<Entry>, Later>;
 
   void run_shard_window(std::size_t shard, Time window_end);
   void drain_mailboxes();
@@ -179,7 +172,7 @@ class ShardedSimulator final : public SimulatorBackend {
   Time now_ = 0.0;         // window floor (authoritative between windows)
   Time window_end_ = 0.0;  // current window's exclusive end
   bool in_window_ = false;
-  std::vector<Queue> queues_;  // one per shard, owned by its worker
+  std::vector<EventQueue> queues_;  // one per shard, owned by its worker
   /// mailboxes_[src][dst]: cross-shard events written lock-free by
   /// shard src's worker during a window, drained at the barrier.
   std::vector<std::vector<std::vector<Entry>>> mailboxes_;

@@ -12,7 +12,7 @@ void Simulator::schedule_at(Time t, EventFn fn) {
   PPO_CHECK_MSG(t >= now_, "cannot schedule into the past");
   PPO_CHECK_MSG(static_cast<bool>(fn), "event callback must be callable");
   last_ticket_ = EventTicket{kExternalActor, next_seq_};
-  queue_.push(Entry{t, next_seq_++, std::move(fn)});
+  queue_.push(t, kExternalActor, next_seq_++, kExternalActor, std::move(fn));
 }
 
 void Simulator::restore_state(Time now, std::uint64_t next_seq,
@@ -30,18 +30,15 @@ void Simulator::restore_event(Time t, std::uint64_t seq, EventFn fn) {
                 "restored events must lie strictly after the checkpoint");
   PPO_CHECK_MSG(seq < next_seq_, "restored seq beyond the restored counter");
   PPO_CHECK_MSG(static_cast<bool>(fn), "event callback must be callable");
-  queue_.push(Entry{t, seq, std::move(fn)});
+  queue_.push(t, kExternalActor, seq, kExternalActor, std::move(fn));
 }
 
 void Simulator::execute_next() {
-  // Move the entry out before popping so the callback may schedule
-  // more events (which mutates the queue).
-  Entry entry = std::move(const_cast<Entry&>(queue_.top()));
-  queue_.pop();
-  now_ = entry.time;
+  EventQueue::Event event = queue_.pop();
+  now_ = event.time;
   set_sim_time_context(now_);
   ++executed_;
-  entry.fn();
+  event.fn();
 }
 
 std::size_t Simulator::run_until(Time end) {
@@ -72,8 +69,6 @@ bool Simulator::step() {
   return true;
 }
 
-void Simulator::clear() {
-  while (!queue_.empty()) queue_.pop();
-}
+void Simulator::clear() { queue_.clear(); }
 
 }  // namespace ppo::sim

@@ -6,12 +6,10 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <vector>
 
 #include "common/check.hpp"
 #include "sim/backend.hpp"
+#include "sim/event_queue.hpp"
 
 namespace ppo::sim {
 
@@ -68,25 +66,15 @@ class Simulator final : public SimulatorBackend {
   static constexpr std::size_t kDefaultEventBudget = 500'000'000;
 
  private:
-  struct Entry {
-    Time time;
-    std::uint64_t seq;
-    EventFn fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
   void execute_next();
 
   Time now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   EventTicket last_ticket_;
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
+  /// Every event carries origin kExternalActor, so the queue's
+  /// canonical order is (time, seq): scheduling order at equal times.
+  EventQueue queue_;
 };
 
 }  // namespace ppo::sim

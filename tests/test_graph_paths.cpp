@@ -73,6 +73,73 @@ TEST(AveragePathLength, SampledEstimateCloseToExact) {
   EXPECT_NEAR(sampled, exact, exact * 0.05);
 }
 
+/// average_path_length's definition computed the long way: the same
+/// largest component and the same sources (drawn from an identical RNG
+/// state), then one BFS per source, summing each distance on its own.
+double per_source_bfs_apl(GraphView g, Rng& rng, const NodeMask& mask,
+                          std::size_t sample_sources,
+                          std::size_t exact_threshold) {
+  const Components comps = connected_components(g, mask);
+  std::vector<NodeId> nodes;
+  for (NodeId v = 0; v < g.num_nodes(); ++v)
+    if (comps.largest() != Components::kExcluded &&
+        comps.component_of[v] == comps.largest())
+      nodes.push_back(v);
+  if (nodes.size() <= 1) return 0.0;
+  NodeMask comp_mask(g.num_nodes(), false);
+  for (NodeId v : nodes) comp_mask.set(v, true);
+  const std::vector<NodeId> sources =
+      nodes.size() <= exact_threshold || sample_sources >= nodes.size()
+          ? nodes
+          : rng.sample(nodes, sample_sources);
+  double total = 0.0;
+  std::size_t pairs = 0;
+  for (NodeId s : sources) {
+    const auto dist = bfs_distances(g, s, comp_mask);
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      if (v == s || dist[v] == kUnreachable) continue;
+      total += dist[v];
+      ++pairs;
+    }
+  }
+  return pairs == 0 ? 0.0 : total / static_cast<double>(pairs);
+}
+
+// The batched traversal sums whole-number distances, so it must equal
+// the per-source BFS result exactly — not approximately — for every
+// batch shape: one source, a partial batch, exactly one full batch,
+// one past it, several batches, and all component nodes.
+TEST(AveragePathLength, BitParallelMatchesPerSourceBfs) {
+  Rng gen(2024);
+  struct Case {
+    const char* name;
+    Graph g;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"er", erdos_renyi_gnm(500, 2000, gen)});
+  cases.push_back({"er-fragmented", erdos_renyi_gnm(600, 420, gen)});
+  cases.push_back({"holme-kim", holme_kim(500, 3, 0.6, gen)});
+  cases.push_back({"holme-kim-sparse", holme_kim(300, 1, 0.2, gen)});
+  for (const Case& c : cases) {
+    const std::size_t n = c.g.num_nodes();
+    NodeMask masked(n, true);
+    for (NodeId v = 0; v < n; ++v)
+      if (gen.uniform_u64(5) == 0) masked.set(v, false);
+    for (const NodeMask& m : {NodeMask{}, masked}) {
+      for (const std::size_t sources : {1, 48, 64, 65, 200}) {
+        Rng a(sources * 31 + n), b(sources * 31 + n);
+        EXPECT_EQ(average_path_length(c.g, a, m, sources, 0),
+                  per_source_bfs_apl(c.g, b, m, sources, 0))
+            << c.name << " sources=" << sources << " masked=" << !m.empty();
+      }
+      Rng a(7), b(7);  // exact threshold: every component node a source
+      EXPECT_EQ(average_path_length(c.g, a, m, 64, 10'000),
+                per_source_bfs_apl(c.g, b, m, 64, 10'000))
+          << c.name << " exact masked=" << !m.empty();
+    }
+  }
+}
+
 TEST(NormalizedPathLength, EqualsScaledAplWhenConnected) {
   Rng rng(1);
   const Graph g = complete(10);

@@ -162,6 +162,153 @@ TEST(Sampler, NaiveModeFillsButNeverDisplaces) {
   EXPECT_EQ(sampler.counters().better_displacements, 0u);
 }
 
+/// The §III-D rule with no shortcut: every offer visits every slot with
+/// the full per-slot rule. The reference SlotSampler::offer, which
+/// skips the slots the rule would leave untouched, must reproduce
+/// exactly.
+struct ReferenceSampler {
+  ReferenceSampler(std::vector<PseudonymValue> refs, double min_dwell)
+      : references(std::move(refs)),
+        values(references.size()),
+        expiries(references.size()),
+        distances(references.size()),
+        placed_at(references.size()),
+        live(references.size()),
+        vacated(references.size()),
+        min_dwell(min_dwell) {}
+
+  static std::uint64_t distance(PseudonymValue a, PseudonymValue b) {
+    return a > b ? a - b : b - a;
+  }
+
+  void place(std::size_t i, const PseudonymRecord& record, double now) {
+    if (live[i] && !(now < expiries[i])) {
+      live[i] = false;
+      vacated[i] = true;
+      ++epoch;
+    }
+    if (!live[i]) {
+      values[i] = record.value;
+      expiries[i] = record.expiry;
+      distances[i] = distance(record.value, references[i]);
+      placed_at[i] = now;
+      live[i] = true;
+      ++epoch;
+      if (vacated[i]) {
+        ++counters.refills_after_expiry;
+        vacated[i] = false;
+      } else {
+        ++counters.initial_fills;
+      }
+      return;
+    }
+    if (values[i] == record.value) {
+      if (record.expiry > expiries[i]) {
+        expiries[i] = record.expiry;
+        ++epoch;
+      }
+      return;
+    }
+    const std::uint64_t offered = distance(record.value, references[i]);
+    if (offered < distances[i] ||
+        (offered == distances[i] && record.expiry > expiries[i])) {
+      if (min_dwell > 0.0 && now - placed_at[i] < min_dwell) {
+        ++counters.displacements_damped;
+        return;
+      }
+      values[i] = record.value;
+      expiries[i] = record.expiry;
+      distances[i] = offered;
+      placed_at[i] = now;
+      ++epoch;
+      ++counters.better_displacements;
+    }
+  }
+
+  void offer(const PseudonymRecord& record, double now) {
+    if (!record.valid_at(now)) return;
+    for (std::size_t i = 0; i < references.size(); ++i)
+      place(i, record, now);
+  }
+
+  void purge_expired(double now) {
+    for (std::size_t i = 0; i < references.size(); ++i) {
+      if (live[i] && !(now < expiries[i])) {
+        live[i] = false;
+        vacated[i] = true;
+        ++epoch;
+      }
+    }
+  }
+
+  std::vector<PseudonymValue> references, values;
+  std::vector<double> expiries;
+  std::vector<std::uint64_t> distances;
+  std::vector<double> placed_at;
+  std::vector<bool> live, vacated;
+  double min_dwell;
+  std::uint64_t epoch = 0;
+  SlotSampler::ReplacementCounters counters;
+};
+
+// Offers crowd a few values around the slots' own references, so ties
+// (equal distance on both sides of R_i), re-offers of a held value
+// with a later expiry, expiries mid-stream and damping all happen
+// often; every state and counter must match the reference exactly.
+TEST(SlotSampler, OfferMatchesReferenceRule) {
+  for (const double min_dwell : {0.0, 1.5}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      Rng rng(seed);
+      SlotSampler sampler(16, 64, rng, min_dwell);
+      ReferenceSampler reference(sampler.references(), min_dwell);
+      const auto& refs = reference.references;
+
+      Rng stream(seed * 977 + static_cast<std::uint64_t>(min_dwell * 10));
+      double now = 0.0;
+      for (int step = 0; step < 4000; ++step) {
+        now += 0.05 * static_cast<double>(stream.uniform_u64(3));
+        const PseudonymValue base = refs[stream.uniform_u64(refs.size())];
+        const std::uint64_t delta = stream.uniform_u64(4);
+        const PseudonymValue value =
+            stream.uniform_u64(2) == 0 ? base + delta : base - delta;
+        const double expiry =
+            now - 0.5 + 0.5 * static_cast<double>(stream.uniform_u64(8));
+        const PseudonymRecord record{value, expiry};
+        sampler.offer(record, now);
+        reference.offer(record, now);
+        if (stream.uniform_u64(50) == 0) {
+          sampler.purge_expired(now);
+          reference.purge_expired(now);
+        }
+
+        ASSERT_EQ(sampler.mutation_epoch(), reference.epoch) << "step " << step;
+        const auto& got = sampler.counters();
+        const auto& want = reference.counters;
+        ASSERT_EQ(got.initial_fills, want.initial_fills);
+        ASSERT_EQ(got.refills_after_expiry, want.refills_after_expiry);
+        ASSERT_EQ(got.better_displacements, want.better_displacements);
+        ASSERT_EQ(got.displacements_damped, want.displacements_damped);
+        for (std::size_t i = 0; i < refs.size(); ++i) {
+          const auto content = sampler.slot(i).second;
+          ASSERT_EQ(content.has_value(), static_cast<bool>(reference.live[i]))
+              << "slot " << i << " step " << step;
+          if (content) {
+            ASSERT_EQ(content->value, reference.values[i]);
+            ASSERT_EQ(content->expiry, reference.expiries[i]);
+          }
+        }
+      }
+      // The stream must have exercised every branch of the rule.
+      const auto& c = reference.counters;
+      EXPECT_GT(c.refills_after_expiry, 0u);
+      EXPECT_GT(c.better_displacements, 0u);
+      if (min_dwell > 0.0) {
+        EXPECT_GT(c.displacements_damped, 0u);
+      }
+    }
+  }
+}
+
 class SamplerSlotSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(SamplerSlotSweep, LiveSlotsNeverExceedCapacity) {
